@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/now_runner.hpp"
 #include "campaign/runner.hpp"
 
 namespace gemfi::bench {

@@ -179,27 +179,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  gemfi_now_worker --host=<this-host> --port=%u --slots=<k>\n",
                  unsigned(master.port()));
 
-    campaign::LocalWorkerPool pool;
-    const bool over_unix = !dcfg.unix_path.empty();
-    if (dcfg.autoscale.enabled() &&
-        local_workers > dcfg.autoscale.max_workers)
-      local_workers = dcfg.autoscale.max_workers;
-    if (local_workers > 0)
-      pool = over_unix ? campaign::LocalWorkerPool::spawn_unix(
-                             local_workers, dcfg.unix_path, slots)
-                       : campaign::LocalWorkerPool::spawn(local_workers,
-                                                          master.port(), slots);
-    if (dcfg.autoscale.enabled()) {
-      const std::uint16_t port = master.port();
-      const std::string unix_path = dcfg.unix_path;
-      master.set_spawn_callback([&pool, port, unix_path, slots](unsigned n) {
-        if (!unix_path.empty()) pool.grow_unix(n, unix_path, slots);
-        else pool.grow(n, port, slots);
-      });
-    }
-
-    const campaign::DispatchReport dr = master.run();
-    pool.wait_all();
+    // 0 local workers: serve remote gemfi_now_worker processes only.
+    const campaign::DispatchReport dr =
+        master.run_with_local_workers(local_workers, slots);
     if (colstore) colstore->finish();
 
     std::fprintf(stderr,

@@ -1,7 +1,7 @@
 // True multi-process NoW campaign dispatch (paper Sec. III-E, done for real).
 //
-// NowRunner models the paper's 27x4 cluster with in-process threads; this
-// layer actually distributes a campaign across process/host boundaries:
+// campaign::now_modeled_makespan models the paper's 27x4 cluster; this layer
+// actually distributes a campaign across process/host boundaries:
 //
 //   master                                 worker (xN processes/hosts)
 //   ------                                 ------
@@ -15,15 +15,18 @@
 //                                    <---  Heartbeat (liveness)
 //   Shutdown                         --->  join slots, exit
 //
-// Robustness is first-class: the master detects dead workers (EOF, send
-// failure, heartbeat silence) and slow workers (optional per-experiment
-// redispatch age), requeues or re-dispatches their in-flight experiments,
-// and deduplicates results by experiment id so every experiment completes
-// exactly once — first result wins, replays are counted and dropped. Fault
-// identity is preserved verbatim over the wire (Fault::to_line round-trip),
-// so the deterministic splitmix64 seeding and `--replay` work unchanged.
-// SIGINT (opt-in) drains gracefully: stop dispatching, collect in-flight
-// results, then shut workers down and report the partial campaign.
+// Master is the worker fleet of campaign/fleet.hpp — the same event loop,
+// peer table, liveness, exactly-once accounting and requeue that the
+// campaign service (service/service.hpp) runs — plus one campaign that every
+// worker is leased to at Hello, so the Welcome and the first Batch leave in
+// the same loop iteration as the Hello arrives. What is Master's own: slow
+// redispatch (an experiment in flight too long is sent to a second worker;
+// whichever result lands first wins), the autoscaler, observer streaming and
+// the DispatchReport. Fault identity is preserved verbatim over the wire
+// (Fault::to_line round-trip), so the deterministic splitmix64 seeding and
+// `--replay` work unchanged. SIGINT (opt-in) drains gracefully: stop
+// dispatching, collect in-flight results, then shut workers down and report
+// the partial campaign.
 //
 // Results stream into the existing CampaignObserver pipeline
 // (JsonlSink/ProgressPrinter) from the master's single event-loop thread as
@@ -31,11 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "campaign/analytics/aggregator.hpp"
+#include "campaign/fleet.hpp"
 #include "campaign/runner.hpp"
 
 namespace gemfi::campaign {
@@ -85,27 +88,8 @@ class Autoscaler {
   double last_action_ = -1e300;
 };
 
-/// Master-side service tuning.
-struct DispatchConfig {
-  std::string bind_address = "127.0.0.1";  // 0.0.0.0 to serve a real cluster
-  std::uint16_t port = 0;                  // 0 = ephemeral (see Master::port())
-
-  /// A worker that completes no frame for this long is declared dead and its
-  /// in-flight experiments requeued. Raw bytes do NOT count as liveness: a
-  /// peer drip-feeding bytes without ever finishing a frame is reaped too
-  /// (see frame_grace_s).
-  double worker_timeout_s = 15.0;
-
-  /// Extra budget for a partial frame in flight: once a peer is idle past
-  /// worker_timeout_s (no complete frame), a half-received frame keeps it
-  /// alive for at most this long from the moment the frame started arriving.
-  /// Protects a slow worker mid-large-frame without opening the trickle hole.
-  double frame_grace_s = 10.0;
-
-  /// Heartbeat period workers are asked to keep (shipped implicitly: workers
-  /// default to a fraction of worker_timeout_s on their side).
-  double poll_interval_s = 0.05;  // master event-loop tick
-
+/// Master-side tuning on top of the shared fleet fields.
+struct DispatchConfig : FleetConfig {
   /// > 0: an experiment in flight on one worker for longer than this is
   /// additionally dispatched to another worker with spare capacity (at most
   /// once per experiment); whichever result arrives first wins. 0 = off.
@@ -113,18 +97,6 @@ struct DispatchConfig {
 
   /// Give up if no worker has ever joined within this window.
   double first_worker_timeout_s = 60.0;
-
-  /// In-flight experiments per worker = slots * pipeline_depth (keeps slots
-  /// busy while batches are in transit).
-  unsigned pipeline_depth = 2;
-
-  /// Largest frame accepted *from* a worker (results are small; a peer
-  /// announcing a huge payload is dropped before any allocation).
-  std::size_t max_worker_frame = 1 << 20;
-
-  /// Install a SIGINT handler for the duration of run() that triggers the
-  /// graceful drain (CLIs set this; library callers usually do not).
-  bool handle_sigint = false;
 
   /// Sequential early-stop rule (--stop-ci). When enabled, every result
   /// feeds a streaming Aggregator; once the index-ordered prefix satisfies
@@ -138,33 +110,26 @@ struct DispatchConfig {
   /// stays up regardless ('gfnw' framing is transport-agnostic).
   std::string unix_path;
 
-  /// Elastic fleet policy; requires a spawn callback (see
-  /// Master::set_spawn_callback) for the growth half.
+  /// Elastic fleet policy. Growth forks loopback workers, so it needs
+  /// Master::run_with_local_workers; plain run() only retires.
   AutoscaleConfig autoscale;
 };
 
-/// What the service adds on top of the merged CampaignReport.
+/// What the master adds to the fleet counters and the merged CampaignReport.
 ///
 /// Results are streamed to cfg.observer as they arrive and are NOT retained:
 /// campaign.results stays empty so a million-experiment campaign holds only
 /// the done/redispatch bitmaps in master memory. campaign.counts and the
 /// aggregate timings below are accumulated incrementally instead.
-struct DispatchReport {
+struct DispatchReport : FleetReport {
   CampaignReport campaign;          // counts/wall only; results intentionally empty
   std::vector<std::uint8_t> done;   // per-experiment completion mask
   std::size_t completed = 0;
   double experiment_wall_seconds = 0.0;  // sum of per-result wall_seconds
 
-  unsigned workers_joined = 0;      // registrations (a reconnect counts again)
-  unsigned workers_lost = 0;        // EOF / timeout / protocol damage
-  std::uint64_t requeued = 0;       // in-flight experiments taken off dead workers
   std::uint64_t redispatched = 0;   // slow-worker duplicate dispatches
-  std::uint64_t duplicate_results = 0;  // dropped by exactly-once dedup
-  std::uint64_t frames_rejected = 0;    // protocol-damaged peers dropped
-  std::uint64_t peers_timed_out = 0;    // reaped by the liveness deadline
   std::uint64_t checkpoint_bytes_shipped = 0;  // Welcome payload total
   bool drained_early = false;       // drain (SIGINT or early stop): done[] partial
-  double wall_seconds = 0.0;
 
   // Sequential early stop (v5).
   bool stopped_early = false;       // the stop rule fired
@@ -177,9 +142,8 @@ struct DispatchReport {
   unsigned workers_retired = 0;     // idle workers gracefully shut down
 };
 
-/// The campaign master: owns the listening socket and runs the poll-based
-/// event loop to completion. Single-threaded; cfg.observer is invoked from
-/// the loop thread only.
+/// The campaign master: a Fleet serving one campaign to completion.
+/// Single-threaded; cfg.observer is invoked from the loop thread only.
 class Master {
  public:
   /// Binds and listens immediately (so workers spawned right after
@@ -203,11 +167,13 @@ class Master {
   /// results, shut down. run() then returns with drained_early set.
   void request_drain() noexcept;
 
-  /// Provide the autoscaler's growth mechanism: called from the run() loop
-  /// thread with the number of workers to start (fork a process, start a
-  /// remote ssh job, ...); the new workers connect back like any other.
-  /// Without a callback, grow decisions are dropped (retire still works).
-  void set_spawn_callback(std::function<void(unsigned)> spawn);
+  /// run() served by `workers` forked loopback workers of `slots` slots each
+  /// (0 = remote workers only), over the AF_UNIX socket when unix_path is
+  /// set; autoscale growth forks into the same pool (the initial count is
+  /// capped at autoscale.max_workers). Fork happens here, so call it before
+  /// this process starts threads. The pool is reaped before returning; if
+  /// run() throws, the workers are SIGKILLed and reaped first.
+  DispatchReport run_with_local_workers(unsigned workers, unsigned slots);
 
  private:
   struct Impl;
@@ -254,15 +220,11 @@ class LocalWorkerPool {
   static LocalWorkerPool spawn(unsigned workers, std::uint16_t port, unsigned slots,
                                unsigned max_reconnects = 3);
 
-  /// Same, but the children connect over the master's AF_UNIX socket.
-  static LocalWorkerPool spawn_unix(unsigned workers, const std::string& path,
-                                    unsigned slots, unsigned max_reconnects = 3);
-
-  /// Fork more workers into an existing pool (the autoscaler's growth hook).
-  void grow(unsigned workers, std::uint16_t port, unsigned slots,
-            unsigned max_reconnects = 3);
-  void grow_unix(unsigned workers, const std::string& path, unsigned slots,
-                 unsigned max_reconnects = 3);
+  /// Fork more workers into an existing pool (the autoscaler's growth
+  /// hook); with a non-empty `unix_path` they connect over the master's
+  /// AF_UNIX socket instead of 127.0.0.1:port.
+  void grow(unsigned workers, std::uint16_t port, const std::string& unix_path,
+            unsigned slots, unsigned max_reconnects = 3);
 
   LocalWorkerPool() = default;
   LocalWorkerPool(LocalWorkerPool&&) = default;

@@ -1,10 +1,12 @@
 #include "campaign/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 #include <thread>
 
@@ -498,6 +500,29 @@ CampaignReport run_campaign(const CalibratedApp& ca, const std::vector<fi::Fault
   report.wall_seconds = seconds_since(t0);
   if (obs) obs->on_campaign_end(report);
   return report;
+}
+
+double now_modeled_makespan(const CampaignReport& report, const CalibratedApp& ca,
+                            const NowModel& now) {
+  std::vector<double> durations;
+  durations.reserve(report.results.size());
+  for (const ExperimentResult& er : report.results) durations.push_back(er.wall_seconds);
+  std::sort(durations.rbegin(), durations.rend());
+  std::priority_queue<double, std::vector<double>, std::greater<>> slots;
+  for (unsigned i = 0; i < now.workstations * now.slots_per_workstation; ++i)
+    slots.push(0.0);
+  double makespan = 0.0;
+  for (const double d : durations) {
+    const double finish = slots.top() + d;
+    slots.pop();
+    slots.push(finish);
+    makespan = std::max(makespan, finish);
+  }
+  // The blob *is* the on-the-wire image (v2 stores memory sparse and
+  // RLE-compressed), so the copy is charged the encoded size: the bytes a
+  // workstation would actually pull off the share.
+  return makespan + double(ca.checkpoint.size_bytes()) / (1024.0 * 1024.0) *
+                        now.copy_seconds_per_mib;
 }
 
 }  // namespace gemfi::campaign

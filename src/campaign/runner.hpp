@@ -262,4 +262,22 @@ struct CampaignReport {
 CampaignReport run_campaign(const CalibratedApp& ca, const std::vector<fi::Fault>& faults,
                             const CampaignConfig& cfg);
 
+/// The paper's network of workstations (Sec. III-E / Fig. 8): 27 quad-core
+/// hosts, each copying the checkpoint to local disk before its slots pull
+/// experiments. One host cannot provide 27x4 cores, so the cluster is
+/// modeled rather than run.
+struct NowModel {
+  unsigned workstations = 27;
+  unsigned slots_per_workstation = 4;  // simultaneous experiments per host
+  /// Time to copy the checkpoint to a workstation (protocol step 3), in
+  /// seconds per MiB of the encoded image.
+  double copy_seconds_per_mib = 0.05;
+};
+
+/// Makespan of `report`'s measured per-experiment wall_seconds on the
+/// modeled cluster: greedy longest-first list scheduling onto
+/// workstations x slots, plus the (parallel) checkpoint copy of `ca`.
+double now_modeled_makespan(const CampaignReport& report, const CalibratedApp& ca,
+                            const NowModel& now = {});
+
 }  // namespace gemfi::campaign

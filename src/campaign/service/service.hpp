@@ -2,24 +2,33 @@
 //
 // A single long-running gemfi_campaignd process owns one worker fleet and
 // serves many clients at once: clients submit CampaignSpecs, poll status,
-// cancel, and stream results over the v2 control plane; workers join with
-// the unchanged v1 Hello and are leased to campaigns one connection at a
-// time (the Welcome fixes which app a connection runs, so moving a worker
-// between campaigns means closing its connection and letting the worker's
-// reconnect loop bring it back for reassignment).
+// cancel, and stream results over the control plane; workers join with the
+// same Hello a campaign::Master accepts and are leased to campaigns one
+// connection at a time (the Welcome fixes which app a connection runs, so
+// moving a worker between campaigns means closing its connection and letting
+// the worker's reconnect loop bring it back for reassignment).
+//
+// The fleet itself — listener, poll loop, peer table, liveness, top-up,
+// exactly-once result accounting, requeue, CancelQueue and Shutdown — is
+// campaign::Fleet (campaign/fleet.hpp), the same one campaign::Master runs.
+// The service adds the campaign table, the journal, the control plane, the
+// calibration thread and fair-share leasing and rebalancing. Unlike Master,
+// it sends a worker the Welcome only when it leases it to a campaign; until
+// then the worker is parked and, like a client, is reaped only by the
+// partial-frame deadline.
 //
 // Durability: every accepted spec and every completed experiment is written
 // to a crash-recovery Journal before it is acknowledged anywhere else. A
 // SIGKILLed service restarted on the same journal directory re-runs
 // calibration (deterministic), re-queues exactly the experiments whose
 // results were never journaled, and finishes every in-flight campaign with
-// each experiment id appearing exactly once in its results file.
+// each experiment id appearing exactly once in its results file. Results
+// for a campaign that is already terminal are dropped.
 //
-// Threading: the service is the dispatch master's poll loop grown a control
-// plane — everything network- and journal-facing runs on the single run()
+// Threading: everything network- and journal-facing runs on the single run()
 // thread. The one exception is calibration (seconds of simulation per app),
 // which runs on a background thread and posts completions back through a
-// queue + self-pipe wake.
+// queue + a fleet kick.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +36,16 @@
 #include <memory>
 #include <string>
 
+#include "campaign/fleet.hpp"
 #include "campaign/service/spec.hpp"
 
 namespace gemfi::campaign::service {
 
-struct ServiceConfig {
-  std::string bind_address = "127.0.0.1";
-  std::uint16_t port = 0;     // 0 = ephemeral (see CampaignService::port())
-  std::string journal_dir;    // required: crash-recovery journal root
+struct ServiceConfig : FleetConfig {
+  std::string journal_dir;  // required: crash-recovery journal root
 
-  // Liveness (same model as DispatchConfig: idle measured from the last
-  // complete frame, partial frames get a bounded grace).
-  double worker_timeout_s = 15.0;
-  double frame_grace_s = 10.0;
-
-  double poll_interval_s = 0.05;     // event-loop tick
-  unsigned pipeline_depth = 2;       // in-flight per worker = slots * depth
-  std::size_t max_worker_frame = 1 << 20;
+  /// Largest frame accepted from any peer: the first frame decides whether
+  /// a connection is a worker or a client, so one cap covers both.
   std::size_t max_client_frame = 1 << 20;
   double client_send_timeout_s = 10.0;
 
@@ -55,14 +57,11 @@ struct ServiceConfig {
   /// stderr) this often — the daemon's progress display.
   double status_interval_s = 0.0;
   std::FILE* status_out = nullptr;
-
-  /// Install a SIGINT handler for the duration of run() that triggers a
-  /// graceful stop (workers get Shutdown; live campaigns stay journaled and
-  /// resume on the next start).
-  bool handle_sigint = false;
 };
 
-struct ServiceReport {
+/// The fleet counters plus the campaign lifecycle. workers_lost also counts
+/// workers parted by the rebalancer (each one reconnects and rejoins).
+struct ServiceReport : FleetReport {
   std::uint64_t campaigns_submitted = 0;  // accepted over the wire this run
   std::uint64_t campaigns_recovered = 0;  // resumed from the journal
   std::uint64_t campaigns_done = 0;
@@ -70,15 +69,8 @@ struct ServiceReport {
   std::uint64_t campaigns_failed = 0;
   std::uint64_t campaigns_stopped_early = 0;  // sequential stop rule fired
   std::uint64_t results_journaled = 0;    // lines appended this run
-  std::uint64_t duplicate_results = 0;    // dropped by exactly-once dedup
-  unsigned workers_joined = 0;
-  unsigned workers_lost = 0;
   unsigned clients_served = 0;
-  std::uint64_t requeued = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t peers_timed_out = 0;
   std::uint64_t rebalance_moves = 0;      // workers parted for fair share
-  double wall_seconds = 0.0;
 };
 
 class CampaignService {

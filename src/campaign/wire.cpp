@@ -91,9 +91,9 @@ Hello decode_hello(std::span<const std::uint8_t> payload) {
   Hello h;
   h.version = r.get_u32();
   h.slots = r.get_u32();
-  if (h.version == 0 || h.version > kProtocolVersion)
+  if (h.version != kProtocolVersion)
     throw DeserializeError("protocol version mismatch: worker speaks v" +
-                           std::to_string(h.version) + ", master accepts up to v" +
+                           std::to_string(h.version) + ", master speaks v" +
                            std::to_string(kProtocolVersion));
   if (h.slots == 0 || h.slots > 1024)
     throw DeserializeError("implausible worker slot count: " + std::to_string(h.slots));

@@ -24,20 +24,18 @@ namespace gemfi::campaign::wire {
 
 /// v1 is the original master/worker dispatch protocol; v2 adds the campaign-
 /// service control plane (message types 10+ below); v3 appends the syscall-
-/// fault fields to Welcome and Result, so pre-v3 peers reject those frames as
-/// malformed (trailing bytes) instead of silently dropping the plans; v4
-/// appends the golden-path fast-mode flag to both Welcome (so every worker
-/// runs the same engine tier as the master decided) and Result (so replay can
-/// force the identical engagement decision); v5 adds the sequential
-/// early-stop plane — CancelQueue/CancelAck so a statistically satisfied
-/// master can reclaim queued-but-unstarted experiments from workers instead
-/// of waiting them out, and AggregateUpdate so service clients can stream
-/// the online aggregate. Masters accept any Hello version in
-/// [1, kProtocolVersion].
+/// fault fields to Welcome and Result; v4 appends the golden-path fast-mode
+/// flag to both Welcome (so every worker runs the same engine tier as the
+/// master decided) and Result (so replay can force the identical engagement
+/// decision); v5 adds the sequential early-stop plane — CancelQueue/CancelAck
+/// so a statistically satisfied master can reclaim queued-but-unstarted
+/// experiments from workers instead of waiting them out. The Welcome, Batch
+/// and Result codecs speak only the current version, so a master admits a
+/// worker only if its Hello carries exactly kProtocolVersion.
 inline constexpr std::uint32_t kProtocolVersion = 5;
 
 enum class MsgType : std::uint8_t {
-  // --- worker plane (unchanged since v1) ---
+  // --- worker plane ---
   Hello = 1,      // worker -> master: version + slot count
   Welcome = 2,    // master -> worker: campaign config + calibration + checkpoint
   Batch = 3,      // master -> worker: experiment (index, fault) pairs
@@ -60,7 +58,6 @@ enum class MsgType : std::uint8_t {
   StreamResults = 16,   // client -> service: subscribe to a campaign's JSONL
   ResultLines = 17,     // service -> client: a batch of JSONL record lines
   StreamEnd = 18,       // service -> client: campaign reached a terminal state
-  AggregateUpdate = 19,  // service -> client: online aggregate summary JSON (v5)
 };
 
 struct Hello {

@@ -13,7 +13,6 @@
 
 #include "assembler/assembler.hpp"
 #include "campaign/jsonl.hpp"
-#include "campaign/now_runner.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
 #include "util/stats.hpp"
@@ -165,27 +164,30 @@ TEST(Experiments, WorkerDirtyRestoreMatchesPerExperimentRestore) {
   }
 }
 
-TEST(Campaigns, NowRunnerMatchesLocalOutcomes) {
-  const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
-  util::Rng rng(99);
-  std::vector<fi::Fault> faults;
-  for (int i = 0; i < 40; ++i)
-    faults.push_back(campaign::random_fault_any(rng, ca.kernel_fetches));
-
-  auto cfg = quick_config();
-  cfg.workers = 1;
-  const auto local = campaign::run_campaign(ca, faults, cfg);
-
-  campaign::NowConfig now;
-  now.workstations = 4;
+TEST(Campaigns, NowModelMakespanIsGreedyListScheduling) {
+  campaign::CampaignReport report;
+  for (const double d : {2.0, 5.0, 1.0, 3.0, 4.0, 3.0, 2.0}) {
+    report.results.emplace_back();
+    report.results.back().wall_seconds = d;
+  }
+  // Longest first onto 2 slots: 5 | 4, 3 -> 4+3=7, 3 -> 5+3=8, 2 -> 7+2=9,
+  // 2 -> 8+2=10, 1 -> 9+1=10.
+  campaign::NowModel now;
+  now.workstations = 1;
   now.slots_per_workstation = 2;
-  const auto dist = campaign::run_campaign_now(ca, faults, cfg, now);
-  EXPECT_EQ(dist.campaign.total(), faults.size());
-  EXPECT_GT(dist.modeled_makespan_seconds, 0.0);
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_EQ(local.results[i].classification.outcome,
-              dist.campaign.results[i].classification.outcome)
-        << i;
+  const campaign::CalibratedApp no_checkpoint;
+  EXPECT_DOUBLE_EQ(campaign::now_modeled_makespan(report, no_checkpoint, now), 10.0);
+
+  // More slots than experiments: the longest one sets the makespan.
+  now.workstations = 4;
+  EXPECT_DOUBLE_EQ(campaign::now_modeled_makespan(report, no_checkpoint, now), 5.0);
+
+  // The checkpoint copy is charged once, in parallel on every workstation.
+  const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
+  now.copy_seconds_per_mib = 2.0;
+  EXPECT_DOUBLE_EQ(campaign::now_modeled_makespan(report, ca, now),
+                   5.0 + double(ca.checkpoint.size_bytes()) / (1024.0 * 1024.0) * 2.0);
+  EXPECT_GT(ca.checkpoint.size_bytes(), 0u);
 }
 
 // ---- telemetry / robustness layer ----
@@ -391,12 +393,11 @@ TEST(Retry, SimulatorInternalErrorIsBoundedAndReported) {
   EXPECT_EQ(report.total(), faults.size());
 }
 
-TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
-  // Two run_campaign_now() instances in flight simultaneously, distinct
-  // seeds: each must match its own single-threaded golden run bit-for-bit.
-  // Guards the per-campaign checkpoint-copy synchronization (the old
-  // function-local static mutex was shared across campaigns) and the
-  // order-independent per-experiment seeding.
+TEST(Concurrency, ParallelCampaignsMatchTheirGoldenRuns) {
+  // Two multi-worker run_campaign() instances in flight simultaneously,
+  // distinct seeds: each must match its own single-threaded golden run
+  // bit-for-bit. Guards per-campaign state (nothing shared across
+  // concurrent campaigns) and the order-independent per-experiment seeding.
   const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
   auto cfg = quick_config();
   cfg.workers = 1;
@@ -406,21 +407,20 @@ TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
   const auto golden_a = campaign::run_campaign(ca, faults_a, cfg);
   const auto golden_b = campaign::run_campaign(ca, faults_b, cfg);
 
-  campaign::NowConfig now;
-  now.workstations = 3;
-  now.slots_per_workstation = 2;
-  campaign::NowReport dist_a, dist_b;
-  std::thread ta([&] { dist_a = campaign::run_campaign_now(ca, faults_a, cfg, now); });
-  std::thread tb([&] { dist_b = campaign::run_campaign_now(ca, faults_b, cfg, now); });
+  auto par_cfg = cfg;
+  par_cfg.workers = 3;
+  campaign::CampaignReport par_a, par_b;
+  std::thread ta([&] { par_a = campaign::run_campaign(ca, faults_a, par_cfg); });
+  std::thread tb([&] { par_b = campaign::run_campaign(ca, faults_b, par_cfg); });
   ta.join();
   tb.join();
 
   const auto expect_bit_identical = [](const campaign::CampaignReport& golden,
-                                       const campaign::NowReport& dist) {
-    ASSERT_EQ(dist.campaign.results.size(), golden.results.size());
+                                       const campaign::CampaignReport& par) {
+    ASSERT_EQ(par.results.size(), golden.results.size());
     for (std::size_t i = 0; i < golden.results.size(); ++i) {
       const auto& g = golden.results[i];
-      const auto& d = dist.campaign.results[i];
+      const auto& d = par.results[i];
       EXPECT_EQ(d.classification.outcome, g.classification.outcome) << i;
       EXPECT_DOUBLE_EQ(d.classification.metric, g.classification.metric) << i;
       EXPECT_EQ(d.exit_reason, g.exit_reason) << i;
@@ -429,8 +429,8 @@ TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
       EXPECT_EQ(d.fault.to_line(), g.fault.to_line()) << i;
     }
   };
-  expect_bit_identical(golden_a, dist_a);
-  expect_bit_identical(golden_b, dist_b);
+  expect_bit_identical(golden_a, par_a);
+  expect_bit_identical(golden_b, par_b);
 }
 
 TEST(SampleSize, LeveugleFormulaMatchesPaperScale) {

@@ -21,6 +21,8 @@
 #include "campaign/dispatch.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/wire.hpp"
+#include "hostile_peers.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "test_env.hpp"
@@ -225,34 +227,7 @@ TEST(Dispatch, GarbageAndTruncatedPeersDontCrashMaster) {
   auto pool = campaign::LocalWorkerPool::spawn(1, master.port(), /*slots=*/1);
 
   const std::uint16_t port = master.port();
-  std::thread hostiles([port] {
-    try {
-      // Peer 1: pure garbage — rejected at the first bad magic byte.
-      auto garbage = net::TcpConn::connect("127.0.0.1", port, 10, 0.05);
-      const char junk[] = "GET /experiments HTTP/1.1\r\nHost: not-a-worker\r\n\r\n";
-      garbage.send_all(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(junk), sizeof junk - 1));
-
-      // Peer 2: a valid Hello frame truncated mid-payload, then EOF.
-      auto truncated = net::TcpConn::connect("127.0.0.1", port, 10, 0.05);
-      const auto hello = net::encode_frame(
-          1, std::vector<std::uint8_t>{1, 0, 0, 0, 1, 0, 0, 0});
-      truncated.send_all(
-          std::span<const std::uint8_t>(hello.data(), hello.size() - 3));
-      truncated.close();
-
-      // Peer 3: a frame whose announced length exceeds the master's cap.
-      auto oversized = net::TcpConn::connect("127.0.0.1", port, 10, 0.05);
-      std::vector<std::uint8_t> header = {'W', 'N', 'F', 'G'};  // magic, LE
-      header.push_back(1);                                      // type
-      for (const std::uint8_t b : {0xFF, 0xFF, 0xFF, 0x7F}) header.push_back(b);
-      for (int i = 0; i < 4; ++i) header.push_back(0);  // crc
-      oversized.send_all(header);
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    } catch (const std::exception&) {
-      // A hostile peer being dropped mid-send is the master working.
-    }
-  });
+  std::thread hostiles([port] { hostile::send_damaged_peers(port); });
 
   const auto dr = master.run();
   hostiles.join();
@@ -325,32 +300,18 @@ TEST(Dispatch, DripFeedingPeerIsReapedNotImmortal) {
   campaign::Master master(c.ca, c.scale, faults, now_cfg, dcfg);
   auto pool = campaign::LocalWorkerPool::spawn(1, master.port(), /*slots=*/1);
 
-  const std::uint16_t port = master.port();
-  std::atomic<bool> dripping{true};
-  std::thread dripper([port, &dripping] {
-    try {
-      auto conn = net::TcpConn::connect("127.0.0.1", port, 10, 0.05);
-      // A complete, valid Hello: the peer is now a bona fide worker whose
-      // silence would be measured — then a valid Heartbeat frame dripped one
-      // byte at a time, never finished, to hold a partial frame in flight.
-      const auto hello = net::encode_frame(
-          1, std::vector<std::uint8_t>{2, 0, 0, 0, 1, 0, 0, 0});
-      conn.send_all(hello);
-      const auto drip = net::encode_frame(5, std::vector<std::uint8_t>(12, 0));
-      std::size_t sent = 0;
-      while (dripping.load()) {
-        if (sent + 1 < drip.size())  // never complete the frame
-          conn.send_all(std::span<const std::uint8_t>(&drip[sent++], 1));
-        std::this_thread::sleep_for(scaled_ms(150));
-      }
-    } catch (const std::exception&) {
-      // The master closing the drip-feed connection is the fix working.
-    }
-  });
-
-  const auto dr = master.run();
-  dripping.store(false);
-  dripper.join();
+  // A complete, valid Hello: the peer is now a bona fide worker whose
+  // silence would be measured — then a frame dripped one byte at a time,
+  // never finished, to hold a partial frame in flight.
+  campaign::DispatchReport dr;
+  {
+    hostile::Peer dripper(master.port(),
+                          net::encode_frame(std::uint8_t(campaign::wire::MsgType::Hello),
+                                            campaign::wire::encode_hello(
+                                                {campaign::wire::kProtocolVersion, 1})),
+                          /*drip=*/true, scaled_ms(150));
+    dr = master.run();
+  }
   pool.wait_all();
 
   EXPECT_EQ(dr.completed, n);

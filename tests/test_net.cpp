@@ -156,6 +156,11 @@ TEST(Wire, HelloRoundTrip) {
 TEST(Wire, HelloRejectsVersionSkewAndBadSlots) {
   EXPECT_THROW(wire::decode_hello(wire::encode_hello({99, 1})),
                util::DeserializeError);
+  // Older workers too: the Welcome/Batch/Result codecs are current-version
+  // only, so an admitted v1-v4 worker would fail at its first frame.
+  for (std::uint32_t v = 0; v < wire::kProtocolVersion; ++v)
+    EXPECT_THROW(wire::decode_hello(wire::encode_hello({v, 1})), util::DeserializeError)
+        << "v" << v;
   EXPECT_THROW(wire::decode_hello(wire::encode_hello({wire::kProtocolVersion, 0})),
                util::DeserializeError);
   EXPECT_THROW(

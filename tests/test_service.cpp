@@ -24,7 +24,11 @@
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/service/client.hpp"
+#include "campaign/service/control.hpp"
 #include "campaign/service/service.hpp"
+#include "campaign/wire.hpp"
+#include "hostile_peers.hpp"
+#include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "test_env.hpp"
 
@@ -359,6 +363,76 @@ TEST(Service, CancelAndFailurePaths) {
   EXPECT_EQ(pool.wait_all(), 0);
   EXPECT_EQ(report.campaigns_cancelled, 1u);
   EXPECT_EQ(report.campaigns_failed, 1u);
+  fs::remove_all(dir);
+}
+
+// The fleet loop the service shares with campaign::Master survives the same
+// hostile peers (tests/hostile_peers.hpp), under the service's reap rule for
+// each kind of peer: an unidentified peer is reaped once idle past
+// worker_timeout_s, while clients and parked workers idle legitimately and
+// are reaped only when a partial frame outlives worker_timeout_s +
+// frame_grace_s. Damaged frames are rejected, and a campaign submitted
+// afterwards completes exactly once on the real fleet.
+TEST(Service, HostilePeersAreRejectedOrReaped) {
+  const fs::path dir = fresh_dir("hostile");
+  service::ServiceConfig scfg;
+  scfg.journal_dir = dir.string();
+  scfg.worker_timeout_s = testenv::scaled_s(2.5);
+  scfg.frame_grace_s = testenv::scaled_s(0.5);
+  service::CampaignService svc(scfg);
+  const std::uint16_t port = svc.port();
+  auto pool = campaign::LocalWorkerPool::spawn(1, port, /*slots=*/1,
+                                               /*max_reconnects=*/1u << 20);
+  FleetGuard fleet{pool};
+  service::ServiceReport report;
+  std::thread server([&] { report = svc.run(); });
+
+  hostile::send_damaged_peers(port);
+
+  namespace wire = campaign::wire;
+  const auto hello = net::encode_frame(std::uint8_t(wire::MsgType::Hello),
+                                       wire::encode_hello({wire::kProtocolVersion, 1}));
+  const auto status = net::encode_frame(std::uint8_t(wire::MsgType::StatusRequest),
+                                        service::encode_status_request({}));
+  const auto pace = testenv::scaled_ms(150);
+  // No campaign is runnable yet, so the Hello peers stay parked.
+  hostile::Peer unknown_drip(port, {}, /*drip=*/true, pace);
+  hostile::Peer unknown_quiet(port, {}, /*drip=*/false, pace);
+  hostile::Peer client_drip(port, status, /*drip=*/true, pace);
+  hostile::Peer client_quiet(port, status, /*drip=*/false, pace);
+  hostile::Peer parked_drip(port, hello, /*drip=*/true, pace);
+
+  const double t0 = now_seconds();
+  while (!(unknown_drip.closed() && unknown_quiet.closed() && client_drip.closed() &&
+           parked_drip.closed()) &&
+         now_seconds() - t0 < testenv::scaled_s(15.0))
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(unknown_drip.closed());
+  EXPECT_TRUE(unknown_quiet.closed());
+  EXPECT_TRUE(client_drip.closed());
+  EXPECT_TRUE(parked_drip.closed());
+
+  std::uint64_t id = 0;
+  {
+    service::Client client = service::Client::connect("127.0.0.1", port);
+    id = client.submit(pi_spec("alice", 40, 1234));
+  }
+  wait_for_status(port, 120.0, [&](const auto& all) {
+    const auto* s = find_status(all, id);
+    return s && s->state == service::CampaignState::Done;
+  });
+  const auto [lines, end] = stream_all(port, id);
+  EXPECT_EQ(end, service::CampaignState::Done);
+  expect_exactly_once(lines, 40);
+  // An idle client is never reaped, however long it stays quiet.
+  EXPECT_FALSE(client_quiet.closed());
+
+  svc.request_stop();
+  server.join();
+  EXPECT_EQ(pool.wait_all(), 0);
+  EXPECT_GE(report.frames_rejected, 2u);  // the garbage and oversize peers
+  EXPECT_GE(report.peers_timed_out, 4u);  // every dripper and the silent peer
+  EXPECT_EQ(report.campaigns_done, 1u);
   fs::remove_all(dir);
 }
 
