@@ -77,10 +77,7 @@ int main(int argc, char** argv) {
                                                ca.kernel_fetches);
     // Re-run the experiment but keep the manager state to read the original
     // word at the fault site.
-    sim::SimConfig scfg;
-    scfg.cpu = cfg.cpu;
-    scfg.switch_to_atomic_after_fault = true;
-    sim::Simulation s(scfg, ca.app.program);
+    sim::Simulation s(campaign::sim_config(cfg), ca.app.program);
     s.spawn_main_thread();
     ca.checkpoint.restore_into(s);
     s.fault_manager().load_faults({f});

@@ -111,10 +111,7 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
                                const std::vector<fi::Fault>& faults,
                                const campaign::CampaignConfig& cfg) {
   RestoreCompare rc;
-  sim::SimConfig scfg;
-  scfg.cpu = cfg.cpu;
-  scfg.fi_enabled = true;
-  scfg.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
+  const sim::SimConfig scfg = campaign::sim_config(cfg);
   const std::uint64_t watchdog = cfg.watchdog_mult * ca.golden_ticks + 1'000'000;
 
   const auto image = chkpt::CheckpointImage::parse(ca.checkpoint);
@@ -181,8 +178,6 @@ int main(int argc, char** argv) {
       "v2 shared-baseline dirty-page restore");
 
   auto cfg = opt.campaign_config();
-  cfg.ckpt_format = chkpt::CheckpointFormat::V2;
-  cfg.ckpt_compress = true;
 
   // --- 1. synthetic sweep: checkpoint position x experiment length ---------
   const std::size_t sweep_n = opt.per_cell(8, 4, 16);

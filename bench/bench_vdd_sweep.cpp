@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
           continue;
         }
         // One experiment carries the whole Poisson batch of upsets.
-        sim::SimConfig scfg;
-        scfg.cpu = cfg.cpu;
+        sim::SimConfig scfg = campaign::sim_config(cfg);
         scfg.switch_to_atomic_after_fault = faults.size() == 1;
         sim::Simulation s(scfg, ca.app.program);
         s.spawn_main_thread();

@@ -1,25 +1,21 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
+
+#include "campaign/jsonl.hpp"
 
 namespace gemfi::bench {
 
 campaign::CampaignConfig Options::campaign_config() const {
-  campaign::CampaignConfig cfg;
-  cfg.cpu = sim::CpuKind::Pipelined;
-  cfg.switch_to_atomic_after_fault = true;
-  cfg.use_checkpoint = true;
+  campaign::CampaignConfig cfg = config;
   cfg.workers = workers == 0 ? std::max(1u, std::thread::hardware_concurrency()) : workers;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
   return cfg;
 }
 
@@ -42,11 +38,11 @@ Options parse_options(int argc, char** argv) {
     } else if (arg.rfind("--workers=", 0) == 0) {
       opt.workers = unsigned(std::strtoul(arg.c_str() + 10, nullptr, 10));
     } else if (arg == "--no-predecode") {
-      opt.predecode = false;
+      opt.config.predecode = false;
     } else if (arg == "--no-fastpath") {
-      opt.fastpath = false;
+      opt.config.fastpath = false;
     } else if (arg == "--no-fastmode") {
-      opt.fastmode = false;
+      opt.config.fastmode = false;
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json = arg.substr(7);
     } else if (arg.rfind("--apps=", 0) == 0) {
@@ -113,109 +109,6 @@ std::vector<std::array<std::string, 4>>& json_records() {
   return records;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Recursive-descent JSON value parser over [p, end); advances p past the
-/// value and returns false on any syntax violation.
-bool parse_value(const char*& p, const char* end, int depth);
-
-void skip_ws(const char*& p, const char* end) {
-  while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
-}
-
-bool parse_string(const char*& p, const char* end) {
-  if (p == end || *p != '"') return false;
-  for (++p; p != end; ++p) {
-    if (*p == '\\') {
-      if (++p == end) return false;  // escape consumes one char (enough here)
-    } else if (*p == '"') {
-      ++p;
-      return true;
-    } else if (static_cast<unsigned char>(*p) < 0x20) {
-      return false;
-    }
-  }
-  return false;
-}
-
-bool parse_number(const char*& p, const char* end) {
-  const char* start = p;
-  if (p != end && *p == '-') ++p;
-  while (p != end && (std::isdigit(static_cast<unsigned char>(*p)) || *p == '.' || *p == 'e' ||
-                      *p == 'E' || *p == '+' || *p == '-'))
-    ++p;
-  if (p == start) return false;
-  char* parsed = nullptr;
-  std::strtod(start, &parsed);
-  return parsed == p;
-}
-
-bool parse_value(const char*& p, const char* end, int depth) {
-  if (depth > 64) return false;
-  skip_ws(p, end);
-  if (p == end) return false;
-  if (*p == '"') return parse_string(p, end);
-  if (*p == '{' || *p == '[') {
-    const char open = *p;
-    const char close = open == '{' ? '}' : ']';
-    ++p;
-    skip_ws(p, end);
-    if (p != end && *p == close) {
-      ++p;
-      return true;
-    }
-    while (true) {
-      if (open == '{') {
-        skip_ws(p, end);
-        if (!parse_string(p, end)) return false;
-        skip_ws(p, end);
-        if (p == end || *p != ':') return false;
-        ++p;
-      }
-      if (!parse_value(p, end, depth + 1)) return false;
-      skip_ws(p, end);
-      if (p == end) return false;
-      if (*p == ',') {
-        ++p;
-        continue;
-      }
-      if (*p == close) {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-  for (const char* kw : {"true", "false", "null"}) {
-    const std::size_t len = std::strlen(kw);
-    if (std::size_t(end - p) >= len && std::memcmp(p, kw, len) == 0) {
-      p += len;
-      return true;
-    }
-  }
-  return parse_number(p, end);
-}
-
 }  // namespace
 
 void json_record(const std::string& metric, double value, const std::string& unit,
@@ -230,27 +123,21 @@ void json_record(const std::string& metric, double value, const std::string& uni
   json_records().push_back({metric, num, unit, config});
 }
 
-bool json_valid(const std::string& text) {
-  const char* p = text.data();
-  const char* end = p + text.size();
-  if (!parse_value(p, end, 0)) return false;
-  skip_ws(p, end);
-  return p == end;  // exactly one top-level value
-}
-
 bool json_write(const std::string& path, const std::string& bench_name) {
   if (path.empty()) return true;
-  std::string doc = "{\"bench\": \"BENCH_" + json_escape(bench_name) + "\", \"records\": [";
+  using campaign::jsonl::escape;
+  std::string doc = "{\"bench\": \"BENCH_" + escape(bench_name) + "\", \"records\": [";
   bool first = true;
   for (const auto& r : json_records()) {
     if (!first) doc += ',';
     first = false;
-    doc += "\n  {\"metric\": \"" + json_escape(r[0]) + "\", \"value\": " + r[1] +
-           ", \"unit\": \"" + json_escape(r[2]) + "\", \"config\": \"" + json_escape(r[3]) +
-           "\"}";
+    doc += "\n  {\"metric\": \"" + escape(r[0]) + "\", \"value\": " + r[1] +
+           ", \"unit\": \"" + escape(r[2]) + "\", \"config\": \"" + escape(r[3]) + "\"}";
   }
   doc += "\n]}\n";
-  if (!json_valid(doc)) {
+  try {
+    (void)campaign::jsonl::parse(doc);
+  } catch (const std::invalid_argument&) {
     std::fprintf(stderr, "json_write: self-check failed, refusing to write %s\n", path.c_str());
     return false;
   }

@@ -38,9 +38,7 @@ struct Options {
   std::vector<std::string> apps;  // empty = every registered app
   std::uint64_t seed = 20260706;
   unsigned workers = 0;  // 0 = hardware_concurrency
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;
+  campaign::CampaignConfig config;  // --no-predecode/--no-fastpath/--no-fastmode
   std::string json;  // empty = no JSON output
 
   /// Experiments per cell for a given default/quick/full sizing.
@@ -58,6 +56,7 @@ struct Options {
     return s;
   }
 
+  /// `config` with the worker count resolved.
   [[nodiscard]] campaign::CampaignConfig campaign_config() const;
 
   [[nodiscard]] std::vector<std::string> app_list() const;
@@ -86,13 +85,9 @@ void json_record(const std::string& metric, double value, const std::string& uni
                  const std::string& config);
 
 /// Serialize all recorded metrics to `path` as a BENCH_<name>.json document
-/// and verify the written bytes parse (json_valid). No-op (returning true)
-/// when `path` is empty; returns false on I/O or self-check failure.
+/// and verify the written bytes parse (campaign::jsonl::parse). No-op
+/// (returning true) when `path` is empty; returns false on I/O or
+/// self-check failure.
 bool json_write(const std::string& path, const std::string& bench_name);
-
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers, bools,
-/// null) — enough for CI to assert the sink emits well-formed documents
-/// without a JSON library dependency.
-bool json_valid(const std::string& text);
 
 }  // namespace gemfi::bench

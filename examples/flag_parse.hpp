@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "campaign/config.hpp"
+
 namespace gemfi::cliflags {
 
 [[noreturn]] inline void bad_value(const char* flag, const std::string& text) {
@@ -47,6 +49,41 @@ inline double parse_f64_flag(const char* flag, const std::string& text) {
   const double v = std::strtod(text.c_str(), &end);
   if (text.empty() || *end != '\0' || errno == ERANGE) bad_value(flag, text);
   return v;
+}
+
+/// The campaign-config flags every campaign CLI takes, written straight
+/// into `cfg`: --cpu=atomic|timing|pipelined, --seed=, --watchdog-mult=,
+/// --deadline=, --retries=, --no-fastmode. Returns false if `arg` is none of
+/// them; a bad value exits 2 with a message naming the flag.
+inline bool parse_config_flag(const std::string& arg, campaign::CampaignConfig& cfg) {
+  const auto value = [&arg](const char* prefix) -> const char* {
+    const std::size_t n = std::char_traits<char>::length(prefix);
+    return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
+  };
+  if (const char* v = value("--cpu=")) {
+    const std::string kind = v;
+    if (kind == "atomic") cfg.cpu = sim::CpuKind::AtomicSimple;
+    else if (kind == "timing") cfg.cpu = sim::CpuKind::TimingSimple;
+    else if (kind == "pipelined") cfg.cpu = sim::CpuKind::Pipelined;
+    else {
+      std::fprintf(stderr, "invalid value for --cpu: '%s' (atomic|timing|pipelined)\n",
+                   v);
+      std::exit(2);
+    }
+  } else if (const char* v = value("--seed=")) {
+    cfg.campaign_seed = parse_u64_flag("seed", v);
+  } else if (const char* v = value("--watchdog-mult=")) {
+    cfg.watchdog_mult = parse_u64_flag("watchdog-mult", v);
+  } else if (const char* v = value("--deadline=")) {
+    cfg.deadline_seconds = parse_f64_flag("deadline", v);
+  } else if (const char* v = value("--retries=")) {
+    cfg.max_retries = parse_u32_flag("retries", v);
+  } else if (arg == "--no-fastmode") {
+    cfg.fastmode = false;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace gemfi::cliflags

@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (parse_config_flag(arg, spec.config)) continue;
     if (arg.rfind("--host=", 0) == 0) host = arg.substr(7);
     else if (arg.rfind("--port=", 0) == 0)
       port = parse_u16_flag("port", arg.substr(7));
@@ -99,26 +100,11 @@ int main(int argc, char** argv) {
       spec.experiments = parse_u64_flag("experiments", arg.substr(14));
     else if (arg.rfind("--tenant=", 0) == 0) spec.tenant = arg.substr(9);
     else if (arg.rfind("--name=", 0) == 0) spec.name = arg.substr(7);
-    else if (arg.rfind("--seed=", 0) == 0)
-      spec.campaign_seed = parse_u64_flag("seed", arg.substr(7));
     else if (arg.rfind("--weight=", 0) == 0)
       spec.weight = parse_u32_flag("weight", arg.substr(9));
     else if (arg.rfind("--max-workers=", 0) == 0)
       spec.max_workers = parse_u32_flag("max-workers", arg.substr(14));
-    else if (arg.rfind("--cpu=", 0) == 0) {
-      const std::string kind = arg.substr(6);
-      if (kind == "atomic") spec.cpu = std::uint8_t(sim::CpuKind::AtomicSimple);
-      else if (kind == "timing") spec.cpu = std::uint8_t(sim::CpuKind::TimingSimple);
-      else if (kind == "pipelined") spec.cpu = std::uint8_t(sim::CpuKind::Pipelined);
-      else usage(argv[0]);
-    } else if (arg == "--paper") spec.paper_scale = true;
-    else if (arg.rfind("--deadline=", 0) == 0)
-      spec.deadline_seconds = parse_f64_flag("deadline", arg.substr(11));
-    else if (arg.rfind("--retries=", 0) == 0)
-      spec.max_retries = parse_u32_flag("retries", arg.substr(10));
-    else if (arg.rfind("--watchdog-mult=", 0) == 0)
-      spec.watchdog_mult = parse_u64_flag("watchdog-mult", arg.substr(16));
-    else if (arg == "--no-fastmode") spec.fastmode = false;
+    else if (arg == "--paper") spec.paper_scale = true;
     else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         const campaign::StopPolicy p = campaign::parse_stop_ci(arg.substr(10));

@@ -247,7 +247,7 @@ namespace {
 class WorkerSession {
  public:
   WorkerSession(const wire::Welcome& welcome, unsigned slots)
-      : ca_(welcome.rebuild_app()), cfg_(welcome.rebuild_config()) {
+      : ca_(welcome.rebuild_app()), cfg_(welcome.config) {
     if (cfg_.use_checkpoint && cfg_.shared_baseline && !ca_.checkpoint.empty()) {
       try {
         baseline_.emplace(chkpt::CheckpointImage::parse(ca_.checkpoint));

@@ -90,6 +90,10 @@ class Autoscaler {
 
 /// Master-side tuning on top of the shared fleet fields.
 struct DispatchConfig : FleetConfig {
+  /// Largest frame accepted *from* a worker (results are small; a peer
+  /// announcing a huge payload is dropped before any allocation).
+  std::size_t max_worker_frame = 1 << 20;
+
   /// > 0: an experiment in flight on one worker for longer than this is
   /// additionally dispatched to another worker with spare capacity (at most
   /// once per experiment); whichever result arrives first wins. 0 = off.

@@ -61,10 +61,6 @@ struct FleetConfig {
   /// busy while batches are in transit).
   unsigned pipeline_depth = 2;
 
-  /// Largest frame accepted *from* a worker (results are small; a peer
-  /// announcing a huge payload is dropped before any allocation).
-  std::size_t max_worker_frame = 1 << 20;
-
   /// Install a SIGINT handler for the duration of run() (CLIs set this;
   /// library callers usually do not).
   bool handle_sigint = false;

@@ -1,9 +1,12 @@
 #include "campaign/jsonl.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace gemfi::campaign::jsonl {
@@ -67,6 +70,16 @@ ObjectWriter& ObjectWriter::field(std::string_view key, bool value) {
   return raw(key, value ? "true" : "false");
 }
 
+ObjectWriter& ObjectWriter::field(std::string_view key,
+                                  const std::vector<std::string>& values) {
+  std::string rendered = "[";
+  for (const std::string& v : values) {
+    if (rendered.size() > 1) rendered += ',';
+    rendered += '"' + escape(v) + '"';
+  }
+  return raw(key, rendered + ']');
+}
+
 std::string ObjectWriter::str() const { return '{' + body_ + '}'; }
 
 const Value& Value::at(const std::string& key) const {
@@ -87,7 +100,20 @@ const std::string& Value::as_string() const {
 
 std::uint64_t Value::as_u64() const {
   if (kind != Kind::Number) throw std::invalid_argument("JSON value is not a number");
-  return std::strtoull(text.c_str(), nullptr, 10);
+  if (text.empty() || !std::all_of(text.begin(), text.end(),
+                                   [](char c) { return c >= '0' && c <= '9'; }))
+    throw std::invalid_argument("JSON number is not a non-negative integer: " + text);
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) throw std::out_of_range("JSON integer exceeds 64 bits: " + text);
+  return v;
+}
+
+std::uint32_t Value::as_u32() const {
+  const std::uint64_t v = as_u64();
+  if (v > std::numeric_limits<std::uint32_t>::max())
+    throw std::out_of_range("JSON integer exceeds 32 bits: " + text);
+  return std::uint32_t(v);
 }
 
 double Value::as_double() const {
@@ -143,6 +169,13 @@ class Parser {
   }
 
   Value value() {
+    // Bounded recursion: a hostile line of nested brackets must fail as
+    // malformed input, not overflow the stack.
+    if (++depth_ > kMaxDepth) fail("nesting too deep");
+    struct Leave {
+      unsigned& depth;
+      ~Leave() { --depth; }
+    } leave{depth_};
     skip_ws();
     switch (peek()) {
       case '{': return object();
@@ -295,8 +328,10 @@ class Parser {
     return v;
   }
 
+  static constexpr unsigned kMaxDepth = 64;
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
 };
 
 }  // namespace

@@ -27,6 +27,7 @@ class ObjectWriter {
   ObjectWriter& field(std::string_view key, std::uint64_t value);
   ObjectWriter& field(std::string_view key, double value);
   ObjectWriter& field(std::string_view key, bool value);
+  ObjectWriter& field(std::string_view key, const std::vector<std::string>& values);
 
   /// The finished `{...}` object (no trailing newline).
   [[nodiscard]] std::string str() const;
@@ -52,8 +53,11 @@ struct Value {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed reads; each throws std::invalid_argument on a kind mismatch.
+  /// Integer reads take only plain non-negative integer tokens and throw
+  /// std::out_of_range for values their type cannot hold (never truncate).
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] std::uint64_t as_u64() const;
+  [[nodiscard]] std::uint32_t as_u32() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] bool as_bool() const;
 };

@@ -24,18 +24,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-sim::SimConfig make_sim_config(const CampaignConfig& cfg) {
-  sim::SimConfig scfg;
-  scfg.cpu = cfg.cpu;
-  scfg.fi_enabled = true;
-  scfg.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
-  scfg.predecode = cfg.predecode;
-  scfg.fastpath = cfg.fastpath;
-  scfg.fastmode = cfg.fastmode;
-  if (cfg.sys_file_capacity != 0) scfg.sys_file_capacity = cfg.sys_file_capacity;
-  return scfg;
-}
-
 /// Everything after the simulation is positioned (fresh or restored): arm
 /// the fault and the syscall plans, run under the watchdog, classify.
 /// Shared by the per-experiment and the persistent-worker paths. Does not
@@ -138,12 +126,12 @@ CalibratedApp calibrate(apps::App app, const CampaignConfig& cfg) {
   CalibratedApp ca;
   const auto t0 = Clock::now();
 
-  sim::Simulation s(make_sim_config(cfg), app.program);
+  sim::Simulation s(sim_config(cfg), app.program);
   s.spawn_main_thread();
   chkpt::Checkpoint ckpt;
   std::uint64_t ticks_at_ckpt = 0;
   s.set_checkpoint_handler([&](sim::Simulation& sim) {
-    ckpt = chkpt::Checkpoint::capture(sim, {cfg.ckpt_format, cfg.ckpt_compress});
+    ckpt = chkpt::Checkpoint::capture(sim);
     ticks_at_ckpt = sim.now();
   });
 
@@ -346,7 +334,7 @@ ExperimentResult run_experiment(const CalibratedApp& ca, const fi::Fault& fault,
                                 const CampaignConfig& cfg,
                                 const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
   const auto t0 = Clock::now();
-  sim::Simulation s(make_sim_config(cfg), ca.app.program);
+  sim::Simulation s(sim_config(cfg), ca.app.program);
   s.spawn_main_thread();
   const std::uint64_t start_ticks =
       cfg.use_checkpoint ? ca.ticks_to_checkpoint : 0;
@@ -387,7 +375,7 @@ ExperimentResult ExperimentWorker::run_attempt(const fi::Fault& fault,
                                                const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
   std::uint64_t pages = 0;
   if (!sim_) {
-    sim_ = std::make_unique<sim::Simulation>(make_sim_config(cfg_), ca_.app.program);
+    sim_ = std::make_unique<sim::Simulation>(sim_config(cfg_), ca_.app.program);
     sim_->spawn_main_thread();
     pages = image_.restore_into(*sim_);
   } else {

@@ -11,77 +11,13 @@
 
 #include "apps/app.hpp"
 #include "campaign/classify.hpp"
+#include "campaign/config.hpp"
 #include "chkpt/checkpoint.hpp"
 #include "fi/fault.hpp"
 #include "fi/syscall_fault.hpp"
 #include "util/rng.hpp"
 
 namespace gemfi::campaign {
-
-class CampaignObserver;
-
-struct CampaignConfig {
-  sim::CpuKind cpu = sim::CpuKind::Pipelined;
-  bool switch_to_atomic_after_fault = true;  // Sec. IV-B-1 speed trick
-  bool use_checkpoint = true;                // Sec. III-D fast-forwarding
-  bool predecode = true;                     // predecoded-instruction cache
-  bool fastpath = true;                      // timing-model fast lane (A/B)
-  bool fastmode = true;                      // superblock golden-path tier (A/B)
-  unsigned workers = 1;                      // local experiment parallelism
-  std::uint64_t watchdog_mult = 8;           // watchdog = mult * golden ticks
-
-  /// Checkpoint encoding captured at calibration. v2 (sparse, page-granular,
-  /// optionally RLE-compressed) is the default; v1 writes the legacy flat
-  /// blob for compatibility testing.
-  chkpt::CheckpointFormat ckpt_format = chkpt::CheckpointFormat::V2;
-  bool ckpt_compress = true;
-
-  /// Restore each experiment from a shared parsed baseline, copying back
-  /// only the pages the worker's previous experiment dirtied, instead of
-  /// re-deserializing the whole blob per experiment. Bit-identical to the
-  /// full restore; off only for A/B measurement (bench_fig9_checkpoint).
-  bool shared_baseline = true;
-
-  /// Root seed of the campaign. Each experiment derives its own RNG stream
-  /// as splitmix64(campaign_seed ^ index) (see experiment_seed()), so any
-  /// single experiment can be regenerated in isolation from its telemetry
-  /// record without replaying the campaign's draw order.
-  std::uint64_t campaign_seed = 0;
-
-  /// Host wall-clock deadline per experiment attempt, seconds (0 = none).
-  /// Cuts off experiments the tick watchdog cannot: a generous simulated-
-  /// time budget on a wedged or contended host. Deadline exits classify as
-  /// Outcome::Timeout and never stall the remaining workers.
-  double deadline_seconds = 0.0;
-
-  /// Bounded retries for experiments that die on simulator-internal errors
-  /// (exceptions from the simulator, e.g. a damaged checkpoint) or on the
-  /// wall-clock deadline — failures of the substrate, not effects of the
-  /// injected fault. Each retry multiplies the deadline by retry_backoff.
-  unsigned max_retries = 2;
-  double retry_backoff = 2.0;
-
-  /// Telemetry sink; not owned, may be null. See observer.hpp for the
-  /// thread-safety contract.
-  CampaignObserver* observer = nullptr;
-
-  /// Syscall-fault plans armed for every experiment (on top of the per-
-  /// experiment register/PC fault). Single-run and A/B configurations.
-  std::vector<fi::SyscallFaultPlan> syscall_plans;
-
-  /// Syscall-fault campaign mode: each experiment additionally arms
-  /// seeded_syscall_plan(campaign_seed, index) — synthesized from the same
-  /// per-experiment seed as the register fault, so a --replay regenerates
-  /// the exact plan from (campaign_seed, index) alone.
-  bool random_syscall_faults = false;
-
-  /// Override the guest file-store capacity in bytes (0 = simulator
-  /// default). Shrinking the slack below an app's output size is how the
-  /// taxonomy benches make torn writes displace later ones into ENOSPC —
-  /// the cascade scenario. Applied at calibration too, so the checkpoint
-  /// (which serializes the OS layer, capacity included) stays consistent.
-  std::uint64_t sys_file_capacity = 0;
-};
 
 /// An app plus everything calibration learned about its fault-free run.
 struct CalibratedApp {

@@ -33,19 +33,11 @@ std::vector<std::uint8_t> encode_submit(const CampaignSpec& spec) {
   w.put_bool(spec.paper_scale);
   w.put_u64(spec.app_scale_seed);
   w.put_u64(spec.experiments);
-  w.put_u64(spec.campaign_seed);
   w.put_u32(spec.weight);
   w.put_u32(spec.max_workers);
-  w.put_u8(spec.cpu);
-  w.put_u64(spec.watchdog_mult);
-  w.put_f64(spec.deadline_seconds);
-  w.put_u32(spec.max_retries);
-  w.put_f64(spec.retry_backoff);
-  w.put_bool(spec.predecode);
-  w.put_bool(spec.fastpath);
-  w.put_bool(spec.fastmode);  // v4
-  w.put_f64(spec.stop_eps);   // v5
-  w.put_f64(spec.stop_conf);  // v5
+  w.put_f64(spec.stop_eps);
+  w.put_f64(spec.stop_conf);
+  put_config(w, spec.config);
   return w.take();
 }
 
@@ -58,19 +50,11 @@ CampaignSpec decode_submit(std::span<const std::uint8_t> payload) {
   s.paper_scale = r.get_bool();
   s.app_scale_seed = r.get_u64();
   s.experiments = r.get_u64();
-  s.campaign_seed = r.get_u64();
   s.weight = r.get_u32();
   s.max_workers = r.get_u32();
-  s.cpu = r.get_u8();
-  s.watchdog_mult = r.get_u64();
-  s.deadline_seconds = r.get_f64();
-  s.max_retries = r.get_u32();
-  s.retry_backoff = r.get_f64();
-  s.predecode = r.get_bool();
-  s.fastpath = r.get_bool();
-  s.fastmode = r.get_bool();  // v4
-  s.stop_eps = r.get_f64();   // v5
-  s.stop_conf = r.get_f64();  // v5
+  s.stop_eps = r.get_f64();
+  s.stop_conf = r.get_f64();
+  s.config = get_config(r);
   expect_end(r, "SubmitCampaign");
   s.validate();  // std::invalid_argument on an unusable spec
   return s;

@@ -66,8 +66,9 @@ std::vector<std::uint8_t> encode_stream_results(const StreamResults& s);
 std::vector<std::uint8_t> encode_result_lines(const ResultLines& rl);
 std::vector<std::uint8_t> encode_stream_end(const StreamEnd& e);
 
-// Decoders throw util::DeserializeError (or std::invalid_argument from
-// CampaignSpec::validate) on malformed payloads.
+// Decoders throw util::DeserializeError on malformed payloads, and
+// std::invalid_argument on an unusable spec (CampaignSpec::validate) or a
+// malformed syscall-plan line in its config.
 CampaignSpec decode_submit(std::span<const std::uint8_t> payload);
 SubmitReply decode_submit_reply(std::span<const std::uint8_t> payload);
 StatusRequest decode_status_request(std::span<const std::uint8_t> payload);

@@ -1,13 +1,13 @@
 // Campaign specs and status records for the FI-as-a-Service control plane.
 //
 // A CampaignSpec is everything a client must say to get a campaign run: the
-// app and its scale, the experiment count and seed, the execution knobs that
-// affect results, and the multi-tenant scheduling inputs (tenant, fair-share
-// weight, worker quota). The same struct is the unit of durability — the
-// service journals each accepted spec as one JSON line and rebuilds its
-// campaign table from those lines after a crash — so both representations
-// (bytesio for the wire, JSON for the journal) live here and are covered by
-// round-trip tests.
+// app and its scale, the experiment count, the campaign configuration (the
+// whole config table, campaign/config.hpp), and the multi-tenant scheduling
+// inputs (tenant, fair-share weight, worker quota). The same struct is the
+// unit of durability — the service journals each accepted spec as one JSON
+// line and rebuilds its campaign table from those lines after a crash — so
+// both representations (bytesio for the wire, JSON for the journal) live
+// here and are covered by round-trip tests.
 #pragma once
 
 #include <array>
@@ -28,22 +28,10 @@ struct CampaignSpec {
   std::uint64_t app_scale_seed = 0x5eed0001;
 
   std::uint64_t experiments = 0;  // campaign size (seeded_fault_set count)
-  std::uint64_t campaign_seed = 42;
 
   // Scheduling inputs.
   std::uint32_t weight = 1;       // fair-share weight of this campaign
   std::uint32_t max_workers = 0;  // worker-lease quota, 0 = unlimited
-
-  // Execution knobs shipped to workers via the Welcome (the subset of
-  // CampaignConfig that affects experiment results).
-  std::uint8_t cpu = std::uint8_t(sim::CpuKind::Pipelined);
-  std::uint64_t watchdog_mult = 8;
-  double deadline_seconds = 0.0;
-  std::uint32_t max_retries = 2;
-  double retry_backoff = 2.0;
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;  // superblock golden-path tier (A/B knob)
 
   /// Sequential early-stop rule (v5): stop once every outcome proportion's
   /// Wilson CI half-width is below stop_eps at stop_conf confidence,
@@ -51,18 +39,28 @@ struct CampaignSpec {
   double stop_eps = 0.0;
   double stop_conf = 0.99;
 
+  /// The campaign configuration shipped to workers in the Welcome: every
+  /// field of the config table, so the spec is lossless. The service's
+  /// default campaign seed is 42.
+  CampaignConfig config = [] {
+    CampaignConfig cfg;
+    cfg.campaign_seed = 42;
+    return cfg;
+  }();
+
   /// Throws std::invalid_argument on an unusable spec (no app, zero
   /// experiments, out-of-range cpu kind, empty tenant, zero weight).
   void validate() const;
 
-  [[nodiscard]] CampaignConfig to_campaign_config() const;
   [[nodiscard]] apps::AppScale to_scale() const;
 
-  /// Journal form: the spec's fields as one flat JSON object (no newline).
+  /// Journal form: the spec's fields, config table included, as one flat
+  /// JSON object (no newline).
   [[nodiscard]] std::string to_json() const;
   /// Rebuild from a parsed journal object; missing optional fields keep
   /// their defaults, so old journals load under newer builds. Throws
-  /// std::invalid_argument / std::out_of_range on malformed input.
+  /// std::invalid_argument / std::out_of_range on malformed or out-of-range
+  /// input.
   static CampaignSpec from_json(const jsonl::Value& v);
 };
 

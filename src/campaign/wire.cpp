@@ -116,22 +116,7 @@ Welcome Welcome::from(const CalibratedApp& ca, const apps::AppScale& scale,
   w.kernel_fetches = ca.kernel_fetches;
   w.ticks_to_checkpoint = ca.ticks_to_checkpoint;
   w.checkpoint = ca.checkpoint.bytes();
-  w.cpu = std::uint8_t(cfg.cpu);
-  w.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
-  w.use_checkpoint = cfg.use_checkpoint;
-  w.predecode = cfg.predecode;
-  w.fastpath = cfg.fastpath;
-  w.fastmode = cfg.fastmode;
-  w.shared_baseline = cfg.shared_baseline;
-  w.watchdog_mult = cfg.watchdog_mult;
-  w.campaign_seed = cfg.campaign_seed;
-  w.deadline_seconds = cfg.deadline_seconds;
-  w.max_retries = cfg.max_retries;
-  w.retry_backoff = cfg.retry_backoff;
-  w.syscall_plan_lines.reserve(cfg.syscall_plans.size());
-  for (const fi::SyscallFaultPlan& p : cfg.syscall_plans)
-    w.syscall_plan_lines.push_back(p.to_line());
-  w.random_syscall_faults = cfg.random_syscall_faults;
+  w.config = cfg;
   return w;
 }
 
@@ -153,27 +138,6 @@ CalibratedApp Welcome::rebuild_app() const {
   return ca;
 }
 
-CampaignConfig Welcome::rebuild_config() const {
-  CampaignConfig cfg;
-  cfg.cpu = static_cast<sim::CpuKind>(cpu);
-  cfg.switch_to_atomic_after_fault = switch_to_atomic_after_fault;
-  cfg.use_checkpoint = use_checkpoint;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
-  cfg.shared_baseline = shared_baseline;
-  cfg.watchdog_mult = watchdog_mult;
-  cfg.campaign_seed = campaign_seed;
-  cfg.deadline_seconds = deadline_seconds;
-  cfg.max_retries = max_retries;
-  cfg.retry_backoff = retry_backoff;
-  cfg.syscall_plans.reserve(syscall_plan_lines.size());
-  for (const std::string& line : syscall_plan_lines)
-    cfg.syscall_plans.push_back(fi::parse_syscall_plan(line));
-  cfg.random_syscall_faults = random_syscall_faults;
-  return cfg;
-}
-
 std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   ByteWriter b;
   b.reserve(w.checkpoint.size() + w.golden_output.size() + 256);
@@ -189,21 +153,7 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_u64(w.kernel_fetches);
   b.put_u64(w.ticks_to_checkpoint);
   b.put_blob(w.checkpoint);
-  b.put_u8(w.cpu);
-  b.put_bool(w.switch_to_atomic_after_fault);
-  b.put_bool(w.use_checkpoint);
-  b.put_bool(w.predecode);
-  b.put_bool(w.fastpath);
-  b.put_bool(w.shared_baseline);
-  b.put_u64(w.watchdog_mult);
-  b.put_u64(w.campaign_seed);
-  b.put_f64(w.deadline_seconds);
-  b.put_u32(w.max_retries);
-  b.put_f64(w.retry_backoff);
-  b.put_u32(std::uint32_t(w.syscall_plan_lines.size()));
-  for (const std::string& line : w.syscall_plan_lines) b.put_string(line);
-  b.put_bool(w.random_syscall_faults);
-  b.put_bool(w.fastmode);  // v4: appended so a v3 decoder sees trailing bytes
+  put_config(b, w.config);
   return b.take();
 }
 
@@ -222,24 +172,7 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   w.kernel_fetches = r.get_u64();
   w.ticks_to_checkpoint = r.get_u64();
   w.checkpoint = r.get_blob();
-  w.cpu = checked_enum(r, unsigned(sim::CpuKind::Pipelined) + 1, "cpu kind");
-  w.switch_to_atomic_after_fault = r.get_bool();
-  w.use_checkpoint = r.get_bool();
-  w.predecode = r.get_bool();
-  w.fastpath = r.get_bool();
-  w.shared_baseline = r.get_bool();
-  w.watchdog_mult = r.get_u64();
-  w.campaign_seed = r.get_u64();
-  w.deadline_seconds = r.get_f64();
-  w.max_retries = r.get_u32();
-  w.retry_backoff = r.get_f64();
-  const std::uint32_t n_plans = r.get_u32();
-  if (n_plans > 1u << 16) throw DeserializeError("implausible syscall plan count");
-  w.syscall_plan_lines.reserve(n_plans);
-  for (std::uint32_t i = 0; i < n_plans; ++i)
-    w.syscall_plan_lines.push_back(r.get_string());
-  w.random_syscall_faults = r.get_bool();
-  w.fastmode = r.get_bool();  // v4
+  w.config = get_config(r);
   if (!r.at_end()) throw DeserializeError("trailing bytes in Welcome");
   return w;
 }

@@ -29,10 +29,13 @@ namespace gemfi::campaign::wire {
 /// master decided) and Result (so replay can force the identical engagement
 /// decision); v5 adds the sequential early-stop plane — CancelQueue/CancelAck
 /// so a statistically satisfied master can reclaim queued-but-unstarted
-/// experiments from workers instead of waiting them out. The Welcome, Batch
-/// and Result codecs speak only the current version, so a master admits a
-/// worker only if its Hello carries exactly kProtocolVersion.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// experiments from workers instead of waiting them out; v6 carries the
+/// campaign configuration in Welcome and SubmitCampaign as one block written
+/// by the shared config codec (campaign/config.hpp: every table field, in
+/// table order, sys_file_capacity included). The Welcome, Batch and Result
+/// codecs speak only the current version, so a master admits a worker only
+/// if its Hello carries exactly kProtocolVersion.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -82,33 +85,15 @@ struct Welcome {
   std::uint64_t ticks_to_checkpoint = 0;
   std::vector<std::uint8_t> checkpoint;  // Checkpoint::bytes(), shipped once
 
-  // The CampaignConfig subset that affects experiment execution. Host-side
-  // policy (workers, observer) stays local to each end.
-  std::uint8_t cpu = 0;
-  bool switch_to_atomic_after_fault = true;
-  bool use_checkpoint = true;
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;  // superblock golden-path tier (v4)
-  bool shared_baseline = true;
-  std::uint64_t watchdog_mult = 8;
-  std::uint64_t campaign_seed = 0;
-  double deadline_seconds = 0.0;
-  std::uint32_t max_retries = 2;
-  double retry_backoff = 2.0;
-
-  // Syscall-fault campaign setup (v3). Plans travel in their canonical
-  // grammar lines; the worker re-parses them, so the grammar is the wire
-  // format and a hostile line is rejected by the same validation the CLI uses.
-  std::vector<std::string> syscall_plan_lines;
-  bool random_syscall_faults = false;
+  // The campaign configuration (its table fields; host-side policy —
+  // workers, observer — stays local to each end).
+  CampaignConfig config;
 
   /// Split a master-side (CalibratedApp, AppScale, CampaignConfig) into the
-  /// wire form / reassemble the worker-side equivalents.
+  /// wire form / reassemble the worker-side CalibratedApp.
   static Welcome from(const CalibratedApp& ca, const apps::AppScale& scale,
                       const CampaignConfig& cfg);
   [[nodiscard]] CalibratedApp rebuild_app() const;
-  [[nodiscard]] CampaignConfig rebuild_config() const;
 };
 
 struct BatchItem {

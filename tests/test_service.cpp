@@ -69,8 +69,8 @@ service::CampaignSpec pi_spec(const std::string& tenant, std::uint64_t n,
   s.tenant = tenant;
   s.app_name = "pi";
   s.experiments = n;
-  s.campaign_seed = seed;
-  s.cpu = std::uint8_t(sim::CpuKind::AtomicSimple);
+  s.config.campaign_seed = seed;
+  s.config.cpu = sim::CpuKind::AtomicSimple;
   return s;
 }
 
@@ -152,15 +152,14 @@ class CollectingObserver final : public campaign::CampaignObserver {
 /// binary (every test uses the same app configuration).
 std::vector<std::string> reference_lines(const service::CampaignSpec& spec) {
   static const campaign::CalibratedApp ca = [] {
-    campaign::CampaignConfig cfg = pi_spec("x", 1, 1).to_campaign_config();
-    return campaign::calibrate(apps::build_app("pi", {}), cfg);
+    return campaign::calibrate(apps::build_app("pi", {}), pi_spec("x", 1, 1).config);
   }();
-  campaign::CampaignConfig cfg = spec.to_campaign_config();
+  campaign::CampaignConfig cfg = spec.config;
   CollectingObserver obs;
   cfg.observer = &obs;
   cfg.workers = 2;
   const auto faults = campaign::seeded_fault_set(
-      spec.campaign_seed, std::size_t(spec.experiments), ca.kernel_fetches);
+      cfg.campaign_seed, std::size_t(spec.experiments), ca.kernel_fetches);
   campaign::run_campaign(ca, faults, cfg);
   std::vector<std::string> lines;
   for (const auto& rec : obs.records())
@@ -247,10 +246,14 @@ void expect_exactly_once(const std::vector<std::string>& lines, std::uint64_t n)
 // Two tenants submit concurrent campaigns to one service sharing a 3-worker
 // fleet: both finish, both saw workers (fair share gave each a lease), and
 // each streamed result set is exactly-once and equal to an in-process run.
+// Bob's campaign arms seeded syscall faults, a config field that reaches the
+// workers only because the spec carries the whole config table.
 TEST(Service, TwoTenantsShareTheFleetAndBothComplete) {
   const fs::path dir = fresh_dir("fair");
+  service::CampaignSpec bob = pi_spec("bob", 90, 4321);
+  bob.config.random_syscall_faults = true;
   const auto ref1 = reference_lines(pi_spec("alice", 90, 1234));
-  const auto ref2 = reference_lines(pi_spec("bob", 90, 4321));
+  const auto ref2 = reference_lines(bob);
 
   service::ServiceConfig scfg;
   scfg.journal_dir = dir.string();
@@ -269,7 +272,7 @@ TEST(Service, TwoTenantsShareTheFleetAndBothComplete) {
     service::Client c1 = service::Client::connect("127.0.0.1", port);
     service::Client c2 = service::Client::connect("127.0.0.1", port);
     id1 = c1.submit(pi_spec("alice", 90, 1234));
-    id2 = c2.submit(pi_spec("bob", 90, 4321));
+    id2 = c2.submit(bob);
   }
   EXPECT_NE(id1, 0u);
   EXPECT_NE(id2, id1);
