@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "campaign/jsonl.hpp"
+#include "flag_parse.hpp"
 
 namespace gemfi::bench {
 
@@ -32,11 +33,11 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--full") {
       opt.full = true;
     } else if (arg.rfind("--n=", 0) == 0) {
-      opt.n_override = std::strtoull(arg.c_str() + 4, nullptr, 10);
+      opt.n_override = cliflags::parse_u64_flag("n", arg.substr(4));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opt.seed = cliflags::parse_u64_flag("seed", arg.substr(7));
     } else if (arg.rfind("--workers=", 0) == 0) {
-      opt.workers = unsigned(std::strtoul(arg.c_str() + 10, nullptr, 10));
+      opt.workers = cliflags::parse_u32_flag("workers", arg.substr(10));
     } else if (arg == "--no-predecode") {
       opt.config.predecode = false;
     } else if (arg == "--no-fastpath") {

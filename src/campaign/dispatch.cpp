@@ -1,10 +1,13 @@
 #include "campaign/dispatch.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -243,7 +246,9 @@ namespace {
 
 /// Everything one established connection needs: the rebuilt app, the slot
 /// threads with their persistent Simulations, and the in/out queues between
-/// the socket loop and the slots.
+/// the socket loop and the slots. A slot notifies the results-ready self-pipe
+/// after every result it queues, so the socket loop, which polls that pipe
+/// beside the connection, sends each result as soon as its slot finishes.
 class WorkerSession {
  public:
   WorkerSession(const wire::Welcome& welcome, unsigned slots)
@@ -276,7 +281,15 @@ class WorkerSession {
     cv_.notify_all();
   }
 
+  /// Pollable: readable once a slot has queued a result since the last
+  /// take_results().
+  [[nodiscard]] int results_ready_fd() const noexcept { return results_ready_.read_fd(); }
+
+  /// Drain the results-ready pipe, then take every queued result. Draining
+  /// first keeps the wake sound: a result queued after the take re-arms the
+  /// pipe, because its slot notifies only after pushing it.
   std::vector<wire::ResultMsg> take_results() {
+    results_ready_.drain();
     std::lock_guard lock(mutex_);
     std::vector<wire::ResultMsg> out(std::make_move_iterator(out_.begin()),
                                      std::make_move_iterator(out_.end()));
@@ -339,6 +352,7 @@ class WorkerSession {
         std::lock_guard lock(mutex_);
         out_.push_back(std::move(msg));
       }
+      results_ready_.notify();
     }
   }
 
@@ -352,12 +366,25 @@ class WorkerSession {
   std::deque<std::pair<std::uint64_t, fi::Fault>> in_;
   std::deque<wire::ResultMsg> out_;
   std::atomic<unsigned> busy_{0};
+  net::SelfPipe results_ready_;
 
   std::vector<std::thread> threads_;
 };
 
 /// Outcome of one established connection.
 enum class SessionEnd { Shutdown, ConnectionLost };
+
+/// Send every ready result as one write: the Result frames, in queue order,
+/// back to back in one buffer.
+void send_results(net::TcpConn& conn, const std::vector<wire::ResultMsg>& results) {
+  if (results.empty()) return;
+  std::vector<std::uint8_t> out;
+  for (const wire::ResultMsg& msg : results) {
+    const auto frame = frame_for(wire::MsgType::Result, wire::encode_result(msg));
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  conn.send_all(out);
+}
 
 SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
   conn.send_all(frame_for(wire::MsgType::Hello,
@@ -386,12 +413,14 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
     }
   }
 
+  // The event loop: one poll over the connection and the slots'
+  // results-ready pipe, woken by whichever comes first — a master frame, a
+  // finished result, or the next heartbeat falling due.
   WorkerSession session(*welcome, wcfg.slots);
-  double last_heartbeat = 0.0;
+  double next_heartbeat = 0.0;
   std::uint64_t heartbeat_seq = 0;
-  bool shutdown = false;
 
-  while (!shutdown) {
+  for (;;) {
     // Frames may already be buffered (pipelined behind the Welcome or from a
     // previous oversized recv) — drain before blocking on the socket.
     while (auto f = reader.next()) {
@@ -404,8 +433,7 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
           break;
         }
         case wire::MsgType::Shutdown:
-          shutdown = true;
-          break;
+          return SessionEnd::Shutdown;
         case wire::MsgType::CancelQueue: {
           wire::CancelAck ack;
           ack.dropped = session.cancel_queued();
@@ -417,27 +445,30 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
           throw net::ProtocolError("unexpected master message type " +
                                    std::to_string(f->type));
       }
-      if (shutdown) break;
     }
-    if (shutdown) break;
-
-    for (const wire::ResultMsg& msg : session.take_results())
-      conn.send_all(frame_for(wire::MsgType::Result, wire::encode_result(msg)));
 
     const double now = mono_seconds();
-    if (now - last_heartbeat >= wcfg.heartbeat_interval_s) {
-      last_heartbeat = now;
+    if (now >= next_heartbeat) {
+      next_heartbeat = now + wcfg.heartbeat_interval_s;
       conn.send_all(frame_for(
           wire::MsgType::Heartbeat,
           wire::encode_heartbeat({heartbeat_seq++, session.busy_slots()})));
     }
 
-    if (!conn.wait_readable(0.02)) continue;
-    const auto got = conn.recv_some(buf);
-    if (!got) return SessionEnd::ConnectionLost;
-    reader.feed(std::span<const std::uint8_t>(buf, *got));
+    // Sleep until the heartbeat is due (rounded up to whole milliseconds, so
+    // the loop never spins on a sub-millisecond remainder).
+    pollfd fds[2] = {{conn.fd(), POLLIN, 0}, {session.results_ready_fd(), POLLIN, 0}};
+    const double wait_s = std::min(next_heartbeat - mono_seconds(), 3600.0);
+    const int timeout_ms = wait_s > 0.0 ? int(std::ceil(wait_s * 1000.0)) : 0;
+    if (::poll(fds, 2, timeout_ms) <= 0) continue;
+
+    if (fds[1].revents & POLLIN) send_results(conn, session.take_results());
+    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
+      const auto got = conn.recv_some(buf);
+      if (!got) return SessionEnd::ConnectionLost;
+      reader.feed(std::span<const std::uint8_t>(buf, *got));
+    }
   }
-  return SessionEnd::Shutdown;
 }
 
 }  // namespace

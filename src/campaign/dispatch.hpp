@@ -15,6 +15,12 @@
 //                                    <---  Heartbeat (liveness)
 //   Shutdown                         --->  join slots, exit
 //
+// The worker's socket loop is event-driven: it polls the connection and a
+// self-pipe that every slot notifies when it finishes an experiment, so a
+// result leaves as soon as its slot is done (all results ready at one wake
+// go out in one write), and the poll timeout is the time left until the next
+// heartbeat. No timer paces the results.
+//
 // Master is the worker fleet of campaign/fleet.hpp — the same event loop,
 // peer table, liveness, exactly-once accounting and requeue that the
 // campaign service (service/service.hpp) runs — plus one campaign that every
@@ -193,6 +199,7 @@ struct WorkerConfig {
   std::string unix_path;
   unsigned slots = 1;  // parallel experiments in this worker process
 
+  /// Heartbeat period; also the longest the idle worker loop sleeps.
   double heartbeat_interval_s = 1.0;
   /// Connect/reconnect budget: attempts per connect() call, with exponential
   /// backoff starting at backoff_s; and how many times a *lost established*

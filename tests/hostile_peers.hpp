@@ -2,12 +2,14 @@
 // and the campaign service run the same fleet loop (campaign/fleet.hpp), so
 // the same abuse must leave both standing: damaged frames are rejected and
 // counted in frames_rejected, trickling or silent peers are reaped and
-// counted in peers_timed_out, and the campaign still completes.
+// counted in peers_timed_out, and the campaign still completes. FakeMaster
+// turns the tables: a scripted master end that drives one real worker.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -96,6 +98,56 @@ class Peer {
   std::atomic<bool> stop_{false};
   std::atomic<bool> closed_{false};
   std::thread thread_;
+};
+
+/// The master end of one worker connection, scripted frame by frame: it
+/// listens on an ephemeral loopback port, accept() takes the worker's
+/// connection, and next_frame()/send() exchange whole frames.
+class FakeMaster {
+ public:
+  FakeMaster() : listener_(gemfi::net::TcpListener::bind_listen("127.0.0.1", 0)) {}
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
+
+  /// Wait up to `timeout_s` for the worker to connect.
+  bool accept(double timeout_s) {
+    const double deadline = gemfi::net::mono_seconds() + timeout_s;
+    while (gemfi::net::mono_seconds() < deadline) {
+      if (auto conn = listener_.accept()) {
+        conn_ = std::move(*conn);
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+  }
+
+  /// The next complete frame, or nullopt if none arrives before `deadline`
+  /// (a mono_seconds() time) or the worker hangs up.
+  std::optional<gemfi::net::Frame> next_frame(double deadline) {
+    std::uint8_t buf[64 * 1024];
+    for (;;) {
+      if (auto f = reader_.next()) return f;
+      const double left = deadline - gemfi::net::mono_seconds();
+      if (left <= 0.0) return std::nullopt;
+      if (!conn_.wait_readable(left)) continue;
+      const auto got = conn_.recv_some(buf);
+      if (!got) return std::nullopt;
+      reader_.feed(std::span<const std::uint8_t>(buf, *got));
+    }
+  }
+
+  void send(std::uint8_t type, std::span<const std::uint8_t> payload) {
+    conn_.send_all(gemfi::net::encode_frame(type, payload));
+  }
+
+  /// Hang up (the worker sees its connection lost).
+  void close() noexcept { conn_.close(); }
+
+ private:
+  gemfi::net::TcpListener listener_;
+  gemfi::net::TcpConn conn_;
+  gemfi::net::FrameReader reader_{1 << 20};
 };
 
 }  // namespace hostile

@@ -473,6 +473,83 @@ TEST(Dispatch, AutoscaleGrowsFleetAndCampaignCompletes) {
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](unsigned k) { return k == 1; }));
 }
 
+// A worker sends each result as soon as its slot finishes. With one slot
+// and one experiment in flight, every result must reach the master before
+// the next experiment can start, so whatever the worker waits between
+// finishing an experiment and sending its result lands in the campaign wall
+// time outside the experiments themselves. A worker that flushed results
+// on a 20 ms timer would spend about 20 ms per result here.
+TEST(Dispatch, ResultLeavesWhenItsSlotFinishes) {
+  const Calibrated& c = calibrated();
+  const std::size_t n = 100;
+  const auto faults =
+      campaign::seeded_fault_set(c.cfg.campaign_seed, n, c.ca.kernel_fetches);
+
+  campaign::CampaignConfig cfg = c.cfg;
+  campaign::DispatchConfig dcfg;
+  dcfg.pipeline_depth = 1;
+  const auto dr = campaign::run_campaign_service_local(c.ca, c.scale, faults, cfg,
+                                                       /*workers=*/1, /*slots=*/1, dcfg);
+
+  ASSERT_EQ(dr.completed, n);
+  const double overhead_per_exp_s =
+      (dr.wall_seconds - dr.experiment_wall_seconds) / double(n);
+  EXPECT_LT(overhead_per_exp_s, 0.005)
+      << "wall " << dr.wall_seconds << " s, experiments " << dr.experiment_wall_seconds
+      << " s";
+}
+
+// An idle worker — Welcomed, never given a Batch — sleeps in poll until its
+// next heartbeat is due, so it must still heartbeat once per interval (and
+// not more often), and a Shutdown still ends it with exit code 0.
+TEST(Dispatch, IdleWorkerHeartbeatsAndShutsDownCleanly) {
+  const Calibrated& c = calibrated();
+  hostile::FakeMaster master;
+
+  campaign::WorkerConfig wcfg;
+  wcfg.port = master.port();
+  wcfg.heartbeat_interval_s = 1.0;
+  wcfg.max_reconnects = 0;  // a lost connection ends the worker at once
+  std::atomic<int> worker_rc{-1};
+  std::thread worker([&] { worker_rc = campaign::run_worker(wcfg); });
+
+  using campaign::wire::MsgType;
+  bool welcomed = false;
+  if (master.accept(scaled_s(10.0))) {
+    const auto hello = master.next_frame(net::mono_seconds() + scaled_s(10.0));
+    if (hello && MsgType(hello->type) == MsgType::Hello) {
+      master.send(std::uint8_t(MsgType::Welcome),
+                  campaign::wire::encode_welcome(
+                      campaign::wire::Welcome::from(c.ca, c.scale, c.cfg)));
+      welcomed = true;
+    }
+  }
+  EXPECT_TRUE(welcomed);
+
+  const double window_s = scaled_s(2.5);
+  const double deadline = net::mono_seconds() + window_s;
+  unsigned heartbeats = 0;
+  while (welcomed) {
+    const auto f = master.next_frame(deadline);
+    if (!f) break;
+    if (MsgType(f->type) != MsgType::Heartbeat) {
+      ADD_FAILURE() << "unexpected frame type " << int(f->type);
+      break;
+    }
+    const auto hb = campaign::wire::decode_heartbeat(f->payload);
+    EXPECT_EQ(hb.sequence, heartbeats);
+    EXPECT_EQ(hb.busy_slots, 0u);
+    ++heartbeats;
+  }
+  EXPECT_GE(heartbeats, 2u);
+  EXPECT_LE(heartbeats, unsigned(window_s / wcfg.heartbeat_interval_s) + 2);
+
+  if (welcomed) master.send(std::uint8_t(MsgType::Shutdown), {});
+  master.close();
+  worker.join();
+  EXPECT_EQ(worker_rc.load(), welcomed ? 0 : 1);
+}
+
 // The master gives up with a clear error if no worker ever joins.
 TEST(Dispatch, NoWorkerEverJoinsThrows) {
   const Calibrated& c = calibrated();
